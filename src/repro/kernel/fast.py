@@ -125,9 +125,7 @@ class FastBackend:
             if state is not None:
                 _restore_warm_state(memory, state)
             else:
-                memory.prefill_backside(
-                    artifacts.footprint_lines(memory.line_bytes)
-                )
+                _prefill(memory, artifacts, cold=key is not None)
                 warm_memory(memory, artifacts.warm_references())
                 if key is not None:
                     artifacts.warm_states[key] = _snapshot_warm_state(memory)
@@ -197,6 +195,46 @@ def _functional_key(memory: "MemorySystem") -> tuple | None:
         back.associativity,
         back.line_bytes,
     )
+
+
+def _prefill_key(memory: "MemorySystem") -> tuple:
+    """Geometry fingerprint of everything the backside prefill depends on.
+
+    :meth:`MemorySystem.prefill_backside` fills only the backside cache,
+    from the footprint in L1-line units (shifted to L2 lines in SRAM
+    mode), so the backside's kind and geometry plus the L1 line size
+    determine the state it leaves.  The L1 size and associativity do
+    not: a figure 8 sweep over nine L1 sizes prefills the same L2.
+    """
+    back = _back_cache(memory)
+    return (
+        isinstance(memory.backside, DramCacheBackside),
+        back.size_bytes,
+        back.associativity,
+        back.line_bytes,
+        memory.line_bytes,
+    )
+
+
+def _prefill(
+    memory: "MemorySystem",
+    artifacts: tracecache.WorkloadArtifacts,
+    *,
+    cold: bool,
+) -> None:
+    """:meth:`MemorySystem.prefill_backside` over the footprint, served
+    from the artifacts' prefill memo when the system is ``cold`` (the
+    :func:`_functional_key` rule: a used system prefills into existing
+    state, so it always takes the real call)."""
+    back = _back_cache(memory)
+    key = _prefill_key(memory) if cold else None
+    state = None if key is None else artifacts.prefill_states.get(key)
+    if state is not None:
+        back.restore_state(state)
+        return
+    memory.prefill_backside(artifacts.footprint_lines(memory.line_bytes))
+    if key is not None:
+        artifacts.prefill_states[key] = back.snapshot_state()
 
 
 def _snapshot_warm_state(memory: "MemorySystem") -> tuple:

@@ -1,12 +1,14 @@
 """Precomputed workload artifacts shared across design points.
 
-Profiling the headline sweep shows ~70% of every design point's wall
-clock is spent *regenerating the same instruction stream*: all 30
-organizations of one benchmark consume an identical warm-up reference
-stream and an identical timing trace, because neither depends on the
-cache organization -- only on ``(spec, seed, functional_warmup)``.
+All 30 organizations of one benchmark in the headline sweep consume an
+identical warm-up reference stream and an identical timing trace,
+because neither depends on the cache organization -- only on
+``(spec, seed, functional_warmup)``.  Generating them per design point
+would repeat that work thirty times over.
 
-The fast backend therefore generates each stream once and replays it:
+The fast backend therefore generates each stream once per process and
+replays it, which leaves generation at about 5% of a traced headline
+sweep (``perfbench/README.md``, *Layer shares*):
 
 * ``footprint_lines`` per line size (pure function of the spec/seed);
 * the functional-warmup reference stream, packed two-per-word into an
@@ -22,6 +24,13 @@ same order (``footprint_lines`` draws no randomness; the warm-up
 stream is consumed before the timing stream starts, advancing the RNG
 exactly as :meth:`ReferenceBackend.prepare` does), and replays reuse
 the very same :class:`~repro.cpu.isa.MicroOp` objects.
+
+Each entry also carries the fast backend's two memos of cache state,
+keyed by geometry: the whole post-warm-up state (``warm_states``) and
+the backside right after its prefill (``prefill_states``).  Both hold
+:meth:`~repro.memory.sram.SetAssociativeCache.snapshot_state` values,
+whose sets are shared immutable tuples, so keeping and restoring them
+copies pointers, not sets.
 
 The cache is per-process (workers build their own) and LRU-bounded:
 figure plans group design points by benchmark, so a handful of entries
@@ -63,6 +72,13 @@ class WorkloadArtifacts:
         #: cycles) share one warmed state, restored by copy instead of
         #: replaying the reference stream.
         self.warm_states: dict[tuple, tuple] = {}
+        #: Backside-cache snapshots taken right after
+        #: :meth:`MemorySystem.prefill_backside`, keyed by
+        #: :func:`repro.kernel.fast._prefill_key`: organizations whose
+        #: L1s differ (and so miss :attr:`warm_states`) but whose
+        #: backsides match restore the prefilled backside, then replay
+        #: the warm-up stream as usual.
+        self.prefill_states: dict[tuple, tuple] = {}
 
     def footprint_lines(self, line_bytes: int) -> list[int]:
         """Cached :meth:`WorkloadGenerator.footprint_lines` (no RNG)."""

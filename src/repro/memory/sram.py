@@ -25,6 +25,16 @@ class SetAssociativeCache:
 
     All methods take line addresses (byte address divided by the line
     size); callers convert with :func:`repro.memory.common.line_address`.
+
+    Each set is an immutable tuple of tags, MRU first, and every update
+    replaces the set's tuple instead of editing it.  That makes state
+    cheap at the three moments a design point pays per set: a cold cache
+    is one shared empty tuple repeated (``[()] * num_sets``), and
+    :meth:`snapshot_state` / :meth:`restore_state` copy pointers to the
+    tuples, never the tuples themselves.  Tuples that hold only ints are
+    also untracked by the cyclic garbage collector, so memoized
+    snapshots of large caches do not slow every later collection.  A hit
+    on the MRU way writes nothing.
     """
 
     def __init__(self, size_bytes: int, associativity: int, line_bytes: int):
@@ -41,26 +51,24 @@ class SetAssociativeCache:
             raise ValueError(f"number of sets must be a power of two: {self.num_sets}")
         self._set_mask = self.num_sets - 1
         self._tag_shift = self.num_sets.bit_length() - 1
-        # Per set: list of tags in MRU-first order.  Dirty lines live in
-        # one flat set of line addresses (cheap to snapshot and to probe;
-        # after warm-up only a small fraction of lines is dirty).
-        self._ways: list[list[int]] = [[] for _ in range(self.num_sets)]
+        # Per set: a tuple of tags in MRU-first order (see the class
+        # docstring).  Dirty lines live in one flat set of line
+        # addresses (cheap to snapshot and to probe; after warm-up only
+        # a small fraction of lines is dirty).
+        self._ways: list[tuple[int, ...]] = [()] * self.num_sets
         self._dirty: set[int] = set()
         self._count = 0  # resident lines, maintained for O(1) __len__
 
-    def _locate(self, line: int) -> tuple[int, int]:
-        return line & self._set_mask, line >> self._tag_shift
-
     def lookup(self, line: int, *, write: bool = False) -> bool:
         """Reference a line; returns hit/miss and updates LRU (and dirty)."""
-        ways = self._ways[line & self._set_mask]
+        index = line & self._set_mask
+        ways = self._ways[index]
         tag = line >> self._tag_shift
-        try:
-            pos = ways.index(tag)
-        except ValueError:
+        if tag not in ways:
             return False
-        if pos:
-            ways.insert(0, ways.pop(pos))
+        if ways[0] != tag:
+            pos = ways.index(tag)
+            self._ways[index] = (tag,) + ways[:pos] + ways[pos + 1 :]
         if write:
             self._dirty.add(line)
         return True
@@ -84,45 +92,49 @@ class SetAssociativeCache:
             return None
         evicted: Eviction | None = None
         if len(ways) >= self.associativity:
-            victim_line = (ways.pop() << self._tag_shift) | index
+            victim_line = (ways[-1] << self._tag_shift) | index
             victim_dirty = victim_line in self._dirty
             self._dirty.discard(victim_line)
             evicted = Eviction(victim_line, victim_dirty)
+            ways = ways[:-1]
         else:
             self._count += 1
-        ways.insert(0, tag)
+        self._ways[index] = (tag,) + ways
         if dirty:
             self._dirty.add(line)
         return evicted
 
     def invalidate(self, line: int) -> bool:
         """Drop a line if present; returns whether it was present."""
-        ways = self._ways[line & self._set_mask]
+        index = line & self._set_mask
+        ways = self._ways[index]
         tag = line >> self._tag_shift
         if tag not in ways:
             return False
-        ways.remove(tag)
+        pos = ways.index(tag)
+        self._ways[index] = ways[:pos] + ways[pos + 1 :]
         self._dirty.discard(line)
         self._count -= 1
         return True
 
     def snapshot_state(self) -> tuple:
-        """An immutable-by-convention copy of contents, LRU, and dirty
-        bits -- pair with :meth:`restore_state` to clone warmed caches."""
-        return (
-            [list(ways) for ways in self._ways],
-            set(self._dirty),
-            self._count,
-        )
+        """An immutable copy of contents, LRU, and dirty bits -- pair
+        with :meth:`restore_state` to clone warmed caches.
+
+        The sets are shared with the live cache, not copied: they are
+        tuples, so a later update replaces a set rather than changing
+        the one the snapshot holds.
+        """
+        return (tuple(self._ways), frozenset(self._dirty), self._count)
 
     def restore_state(self, state: tuple) -> None:
-        """Replace all contents with a copy of a snapshot's."""
+        """Replace all contents with a snapshot's (a pointer copy)."""
         ways, dirty, count = state
         if len(ways) != self.num_sets:
             raise ValueError(
                 f"snapshot has {len(ways)} sets, cache has {self.num_sets}"
             )
-        self._ways = list(map(list, ways))
+        self._ways = list(ways)
         self._dirty = set(dirty)
         self._count = count
 
@@ -130,8 +142,9 @@ class SetAssociativeCache:
         return line in self._dirty
 
     def resident_lines(self) -> list[int]:
-        """All currently valid line addresses (testing/inspection aid)."""
-        shift = self.num_sets.bit_length() - 1
+        """All currently valid line addresses, set by set, MRU first
+        within a set (testing/inspection aid)."""
+        shift = self._tag_shift
         return [
             (tag << shift) | index
             for index, ways in enumerate(self._ways)
@@ -146,21 +159,25 @@ class SetAssociativeCache:
         carry dirty bits for tags that are not resident.
         """
         problems: list[str] = []
-        resident = 0
+        associativity = self.associativity
         for index, ways in enumerate(self._ways):
-            resident += len(ways)
-            if len(ways) > self.associativity:
+            ways_held = len(ways)
+            if ways_held <= 1:
+                continue  # neither too many ways nor a duplicate
+            if ways_held > associativity:
                 problems.append(
-                    f"{name} set {index}: {len(ways)} ways exceed "
-                    f"associativity {self.associativity}"
+                    f"{name} set {index}: {ways_held} ways exceed "
+                    f"associativity {associativity}"
                 )
-            if len(set(ways)) != len(ways):
+            if len(set(ways)) != ways_held:
                 problems.append(f"{name} set {index}: duplicate tag in LRU order")
-        phantom = self._dirty - set(self.resident_lines())
+        probe = self.probe
+        phantom = [line for line in self._dirty if not probe(line)]
         if phantom:
             problems.append(
                 f"{name}: dirty bits for absent lines {sorted(phantom)}"
             )
+        resident = sum(map(len, self._ways))
         if resident != self._count:
             problems.append(
                 f"{name}: resident count {self._count} does not match "

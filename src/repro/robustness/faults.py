@@ -151,6 +151,6 @@ def inject_corrupt_lru(memory: "MemorySystem", *, phantom_dirty: bool = False) -
                 phantom_line = ((max(ways) + 1) << l1._tag_shift) | index
                 l1._dirty.add(phantom_line)
             else:
-                ways.append(ways[0])
+                l1._ways[index] = ways + ways[:1]
             return
     raise RuntimeError("cannot corrupt an empty cache; warm it first")

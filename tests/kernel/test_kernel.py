@@ -196,3 +196,102 @@ class TestInstructionsOverride:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert base.scaled().instructions == 12_000
+
+
+def _cache_state(memory):
+    """Everything functional warm-up writes, in comparable form."""
+    from repro.kernel.fast import _back_cache
+
+    line_buffer = memory.line_buffer
+    return (
+        memory.l1.snapshot_state(),
+        None if line_buffer is None else line_buffer._cache.snapshot_state(),
+        _back_cache(memory).snapshot_state(),
+    )
+
+
+class TestPrefillMemo:
+    """The fast backend's memo of the backside state after prefill."""
+
+    SETTINGS = ExperimentSettings(functional_warmup=3000)
+
+    def setup_method(self):
+        tracecache.clear()
+
+    def teardown_method(self):
+        tracecache.clear()
+
+    @pytest.fixture
+    def prefills(self, monkeypatch):
+        """Counts real ``MemorySystem.prefill_backside`` calls."""
+        from repro.memory.hierarchy import MemorySystem
+
+        calls = []
+        original = MemorySystem.prefill_backside
+
+        def counting(memory, lines):
+            calls.append(memory)
+            return original(memory, lines)
+
+        monkeypatch.setattr(MemorySystem, "prefill_backside", counting)
+        return calls
+
+    @staticmethod
+    def _system(**overrides):
+        from repro.memory.hierarchy import MemoryConfig, MemorySystem
+
+        return MemorySystem(MemoryConfig(**overrides))
+
+    def _prepare(self, memory, backend="fast"):
+        kernel.get_backend(backend).prepare(
+            benchmark("database"), memory, self.SETTINGS
+        )
+        return memory
+
+    def _artifacts(self):
+        return tracecache.artifacts_for(
+            benchmark("database"),
+            self.SETTINGS.seed,
+            self.SETTINGS.functional_warmup,
+        )
+
+    def test_l1_sizes_share_one_prefill(self, prefills):
+        small = self._prepare(self._system(l1_size=16 * 1024))
+        large = self._prepare(self._system(l1_size=64 * 1024))
+        assert len(prefills) == 1
+        assert len(self._artifacts().prefill_states) == 1
+        # The restored prefill warms to the reference path's state.
+        for fast_system, l1_size in ((small, 16 * 1024), (large, 64 * 1024)):
+            oracle = self._prepare(self._system(l1_size=l1_size), "reference")
+            assert _cache_state(fast_system) == _cache_state(oracle)
+
+    def test_line_size_and_mode_get_their_own_entries(self, prefills):
+        from repro.memory.dram_cache import DramCacheConfig
+
+        self._prepare(self._system())
+        self._prepare(self._system(l1_line=64))
+        self._prepare(self._system(dram=DramCacheConfig()))
+        assert len(prefills) == 3
+        assert len(self._artifacts().prefill_states) == 3
+        restored = self._prepare(
+            self._system(l1_line=64, l1_size=16 * 1024)
+        )
+        assert len(prefills) == 3
+        oracle = self._prepare(
+            self._system(l1_line=64, l1_size=16 * 1024), "reference"
+        )
+        assert _cache_state(restored) == _cache_state(oracle)
+
+    def test_used_system_skips_both_memos(self, prefills):
+        self._prepare(self._system())  # populate both memos
+        used = self._system()
+        used.load(0, 0)
+        self._prepare(used)
+        assert len(prefills) == 2
+        artifacts = self._artifacts()
+        assert len(artifacts.prefill_states) == 1
+        assert len(artifacts.warm_states) == 1
+        oracle = self._system()
+        oracle.load(0, 0)
+        self._prepare(oracle, "reference")
+        assert _cache_state(used) == _cache_state(oracle)

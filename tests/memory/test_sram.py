@@ -118,6 +118,137 @@ class TestSetAssociativeCache:
         assert len(cache) <= 8
 
 
+class TestSnapshotState:
+    """Snapshots share sets with the live cache, so isolation matters."""
+
+    def make(self):
+        cache = SetAssociativeCache(128, 2, 32)  # 2 sets of 2 ways
+        cache.fill(0)
+        cache.fill(2, dirty=True)  # set 0: 2, 0
+        cache.fill(1)  # set 1: 1
+        return cache
+
+    @staticmethod
+    def observe(cache):
+        return (
+            cache.resident_lines(),
+            sorted(line for line in range(16) if cache.is_dirty(line)),
+            len(cache),
+        )
+
+    def test_restored_caches_are_independent(self):
+        source = self.make()
+        snapshot = source.snapshot_state()
+        frozen = (tuple(snapshot[0]), set(snapshot[1]), snapshot[2])
+        first = SetAssociativeCache(128, 2, 32)
+        second = SetAssociativeCache(128, 2, 32)
+        first.restore_state(snapshot)
+        second.restore_state(snapshot)
+        before = self.observe(second)
+        assert before == self.observe(source)
+        assert first.lookup(0)  # hit on the LRU way: reorders set 0
+        assert first.lookup(1, write=True)  # dirty store
+        evicted = first.fill(4)  # evicts line 2 from set 0
+        assert evicted is not None and evicted.line == 2 and evicted.dirty
+        assert first.invalidate(1)
+        assert self.observe(first) != before
+        assert self.observe(second) == before
+        assert self.observe(source) == before
+        assert (tuple(snapshot[0]), set(snapshot[1]), snapshot[2]) == frozen
+
+    def test_live_cache_changes_leave_snapshot_alone(self):
+        source = self.make()
+        snapshot = source.snapshot_state()
+        source.lookup(0, write=True)
+        source.fill(4)
+        source.invalidate(1)
+        clone = SetAssociativeCache(128, 2, 32)
+        clone.restore_state(snapshot)
+        assert self.observe(clone) == self.observe(self.make())
+
+    def test_mismatched_set_count_rejected(self):
+        snapshot = self.make().snapshot_state()
+        with pytest.raises(ValueError, match="2 sets, cache has 4"):
+            SetAssociativeCache(256, 2, 32).restore_state(snapshot)
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("load", "store", "fill", "invalidate")),
+                st.integers(min_value=0, max_value=40),
+            ),
+            max_size=160,
+        ),
+        st.integers(min_value=0, max_value=160),
+    )
+    def test_restored_clone_continues_identically(self, trace, cut):
+        """Snapshot mid-trace, restore into a fresh cache, run both on."""
+        original = SetAssociativeCache(256, 2, 32)  # 4 sets of 2 ways
+
+        def step(cache, op, line):
+            if op == "invalidate":
+                return cache.invalidate(line)
+            if op == "fill":
+                return cache.fill(line, dirty=line % 3 == 0)
+            if cache.lookup(line, write=op == "store"):
+                return True
+            return cache.fill(line, dirty=op == "store")
+
+        for op, line in trace[:cut]:
+            step(original, op, line)
+        clone = SetAssociativeCache(256, 2, 32)
+        clone.restore_state(original.snapshot_state())
+        for op, line in trace[cut:]:
+            assert step(original, op, line) == step(clone, op, line)
+        assert clone.resident_lines() == original.resident_lines()
+        assert [clone.is_dirty(n) for n in range(41)] == [
+            original.is_dirty(n) for n in range(41)
+        ]
+        assert len(clone) == len(original)
+        assert clone.audit() == original.audit() == []
+
+
+class TestAudit:
+    """Each structural finding still fires on a hand-corrupted cache."""
+
+    def make(self):
+        cache = SetAssociativeCache(128, 2, 32)  # 2 sets of 2 ways
+        cache.fill(0)
+        cache.fill(2)
+        cache.fill(1, dirty=True)
+        return cache
+
+    def test_healthy_cache_is_clean(self):
+        assert self.make().audit() == []
+
+    def test_too_many_ways(self):
+        cache = self.make()
+        cache._ways[0] = (3,) + cache._ways[0]
+        cache._count += 1
+        assert cache.audit("l1") == [
+            "l1 set 0: 3 ways exceed associativity 2"
+        ]
+
+    def test_duplicate_tag(self):
+        cache = self.make()
+        cache._ways[1] = cache._ways[1] * 2
+        cache._count += 1
+        assert cache.audit("l1") == ["l1 set 1: duplicate tag in LRU order"]
+
+    def test_phantom_dirty_bit(self):
+        cache = self.make()
+        cache._dirty.update((9, 5))
+        assert cache.audit("l1") == ["l1: dirty bits for absent lines [5, 9]"]
+
+    def test_count_mismatch(self):
+        cache = self.make()
+        cache._count = 7
+        assert cache.audit("l1") == [
+            "l1: resident count 7 does not match 3 lines in LRU state"
+        ]
+
+
 class TestSetAssociativeProperties:
     @settings(max_examples=40)
     @given(st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=300))
